@@ -3,87 +3,87 @@ package repro.core
 /** Per-edge butterfly counting (Algorithm 1, lines 7–11).
   *
   * For an incoming edge `{u, v}` (u ∈ L, v ∈ R) it counts the butterflies
-  * that `{u, v}` forms with the edges of an [[AdjView]]: every butterfly
-  * `{u, v, x, w}` (x ∈ L, w ∈ R) discovered requires the three view edges
-  * `{u, w}`, `{x, w}`, `{x, v}`.
+  * that `{u, v}` forms with the edges of an [[AdjacencySample]]: every
+  * butterfly `{u, v, x, w}` (x ∈ L, w ∈ R) discovered requires the three
+  * sample edges `{u, w}`, `{x, w}`, `{x, v}`.
   *
   * The *cheapest side* heuristic (line 7) picks the endpoint whose
-  * view-neighbours have the smaller cumulative degree and drives the set
+  * sample-neighbours have the smaller cumulative degree and drives the set
   * intersections from there; each intersection iterates the smaller of the
-  * two neighbour sets and probes the larger, so its cost is the size of the
-  * smaller set.
+  * two neighbour lists and probes the larger one's owner in the sample's
+  * edge index, so its cost is the size of the smaller list.
   */
 object ButterflyCounter {
 
   /** Count of butterflies found plus the work (membership probes) spent. */
   final case class Result(butterflies: Long, work: Long)
 
-  /** Count the butterflies the edge `{u, v}` forms with the view.
+  private val Zero = Result(0L, 0L)
+
+  /** Count the butterflies the edge `{u, v}` forms with the sample.
     *
     * Handles both insertions and deletions: for a deletion the edge itself
-    * may still be present in the view, so the endpoints `u`/`v` are excluded
-    * from the neighbour sets during intersection (the paper's running
-    * example excludes `u` explicitly).
+    * may still be present in the sample, so the endpoints `u`/`v` are
+    * excluded from the neighbour sets during intersection (the paper's
+    * running example excludes `u` explicitly).
     */
-  def countForEdge(view: AdjView, u: Long, v: Long): Result = {
-    val nu = view.leftNeighbors(u)  // right-side neighbours of u
-    val nv = view.rightNeighbors(v) // left-side neighbours of v
+  def countForEdge(s: AdjacencySample, u: Long, v: Long): Result = {
+    val us = s.leftSlot(u)
+    val vs = s.rightSlot(v)
+    if (us < 0 || vs < 0) return Zero
 
-    if (nu.isEmpty || nv.isEmpty) return Result(0L, 0L)
-
+    // Σ_{w ∈ N_u} d_w and Σ_{x ∈ N_v} d_x (line 7).
     var cumU = 0L
-    nu.foreach(w => cumU += view.rightDegree(w))
+    var p = s.leftHeadAt(us)
+    while (p >= 0) { cumU += s.rightDegree(s.rightAt(p)); p = s.nextOfLeft(p) }
     var cumV = 0L
-    nv.foreach(x => cumV += view.leftDegree(x))
+    p = s.rightHeadAt(vs)
+    while (p >= 0) { cumV += s.leftDegree(s.leftAt(p)); p = s.nextOfRight(p) }
 
     var found = 0L
     var work = 0L
-
     if (cumU <= cumV) {
-      // Explore w ∈ N_u^S \ {v}; intersect N_w^S with N_v^S, excluding u.
-      val it = nu.iterator
-      while (it.hasNext) {
-        val w = it.next()
+      // Explore w ∈ N_u \ {v}; intersect N_w with N_v, excluding u.
+      val dv = s.rightDegreeAt(vs)
+      p = s.leftHeadAt(us)
+      while (p >= 0) {
+        val w = s.rightAt(p)
         if (w != v) {
-          val packed = intersectCount(view.rightNeighbors(w), nv, exclude = u)
-          found += packed >>> 32
-          work += packed & 0xFFFFFFFFL
+          val ws = s.rightSlot(w)
+          val dw = s.rightDegreeAt(ws)
+          // Iterate the smaller list, probe the other vertex's edges.
+          var q = if (dw <= dv) s.rightHeadAt(ws) else s.rightHeadAt(vs)
+          val other = if (dw <= dv) v else w
+          while (q >= 0) {
+            val x = s.leftAt(q)
+            if (x != u && s.contains(x, other)) found += 1
+            q = s.nextOfRight(q)
+          }
+          work += math.min(dw, dv)
         }
+        p = s.nextOfLeft(p)
       }
     } else {
-      // Symmetric: explore x ∈ N_v^S \ {u}; intersect N_x^S with N_u^S,
-      // excluding v.
-      val it = nv.iterator
-      while (it.hasNext) {
-        val x = it.next()
+      // Symmetric: explore x ∈ N_v \ {u}; intersect N_x with N_u, excluding v.
+      val du = s.leftDegreeAt(us)
+      p = s.rightHeadAt(vs)
+      while (p >= 0) {
+        val x = s.leftAt(p)
         if (x != u) {
-          val packed = intersectCount(view.leftNeighbors(x), nu, exclude = v)
-          found += packed >>> 32
-          work += packed & 0xFFFFFFFFL
+          val xs = s.leftSlot(x)
+          val dx = s.leftDegreeAt(xs)
+          var q = if (dx <= du) s.leftHeadAt(xs) else s.leftHeadAt(us)
+          val other = if (dx <= du) u else x
+          while (q >= 0) {
+            val w = s.rightAt(q)
+            if (w != v && s.contains(other, w)) found += 1
+            q = s.nextOfLeft(q)
+          }
+          work += math.min(dx, du)
         }
+        p = s.nextOfRight(p)
       }
     }
     Result(found, work)
-  }
-
-  /** |a ∩ b| excluding one vertex; iterates the smaller set, probes the
-    * larger. Returns (count << 32 | probes) to stay allocation-free on the
-    * hot path; `probes` (the smaller set's size) is the paper's load metric
-    * "checks that happened within the set intersection operations" (§VI-G).
-    * Per-intersection count and probes both fit 32 bits because set sizes
-    * are bounded by the sample budget.
-    */
-  private def intersectCount(a: collection.Set[Long], b: collection.Set[Long],
-                             exclude: Long): Long = {
-    val (small, large) = if (a.size <= b.size) (a, b) else (b, a)
-    var c = 0L
-    var probes = 0L
-    val it = small.iterator
-    while (it.hasNext) {
-      val x = it.next()
-      probes += 1
-      if (x != exclude && large.contains(x)) c += 1
-    }
-    (c << 32) | probes
   }
 }

@@ -24,10 +24,10 @@ final class ExactButterflyCounter {
   def edgeCount: Long = graph.size.toLong
 
   /** Whether `{l, r}` is currently an edge of the graph. */
-  def containsEdge(l: Long, r: Long): Boolean = graph.contains(Edge(l, r))
+  def containsEdge(l: Long, r: Long): Boolean = graph.contains(l, r)
 
-  /** Read-only adjacency view of the full graph. */
-  def view: AdjView = graph
+  /** Adjacency of the full graph (for counting against it; do not mutate). */
+  def view: AdjacencySample = graph
 
   /** Apply one stream element, keeping the count exact. */
   def process(el: StreamElement): Unit = {

@@ -70,14 +70,7 @@ final class ParAbacus(val k: Int, seed: Long, spark: SparkSession, val numPartit
     val m = batch.length
 
     // Phase 1 (sequential, driver): snapshot S_0, then build versions.
-    val baseEdges = sample.snapshotEdges()
-    val baseLeft = new Array[Long](baseEdges.length)
-    val baseRight = new Array[Long](baseEdges.length)
-    var b = 0
-    while (b < baseEdges.length) {
-      baseLeft(b) = baseEdges(b).left; baseRight(b) = baseEdges(b).right
-      b += 1
-    }
+    val (baseLeft, baseRight) = sample.endpoints()
     val elemLeft = new Array[Long](m)
     val elemRight = new Array[Long](m)
     val elemIns = new Array[Boolean](m)
@@ -113,10 +106,11 @@ final class ParAbacus(val k: Int, seed: Long, spark: SparkSession, val numPartit
     val bc = sc.broadcast(snap)
     val p = numPartitions
     val results: Array[PartitionCount] =
-      sc.parallelize(0 until p, p)
-        .map(pid => ParAbacus.countRange(bc.value, pid, p))
-        .collect()
-    bc.destroy()
+      try {
+        sc.parallelize(0 until p, p)
+          .map(pid => ParAbacus.countRange(bc.value, pid, p))
+          .collect()
+      } finally bc.destroy()
 
     // Phase 3: reduce partials in partition order (edge order overall).
     results.foreach { r =>

@@ -35,6 +35,15 @@ final case class VersionedSampleSnapshot(
   /** Mini-batch size M. */
   def batchSize: Int = elemLeft.length
 
+  /** S_0 as an adjacency sample, built from `baseLeft`/`baseRight` on first
+    * use and not serialized: a JVM builds it at most once per snapshot, and
+    * the tasks of one JVM share it (each replays on its own
+    * [[AdjacencySample.copy]]). It has room for min(k, 2·|S_0|) edges, so
+    * replaying a sample that is already full grows no table.
+    */
+  @transient lazy val base: AdjacencySample =
+    AdjacencySample.of(baseLeft, baseRight, math.min(k, 2 * baseLeft.length))
+
   /** Triplet observed by mini-batch edge `i` (for reporting/tests). */
   def triplet(i: Int): VersionTriplet =
     VersionTriplet(tripletEdges(i), tripletCb(i), tripletCg(i))
@@ -42,21 +51,13 @@ final case class VersionedSampleSnapshot(
 
 /** Forward-only reconstruction of sample versions from a snapshot.
   *
-  * Builds S_0 once (O(k)) and then applies stored deltas in order, exposing
-  * an [[AdjView]] of the current version. Each PARABACUS task owns one
-  * replayer for its contiguous range of edges, so a task pays O(k + M) to
-  * reconstruct and then walks versions incrementally.
+  * Starts from a copy of the snapshot's shared S_0 (array clones, O(k)) and
+  * then applies stored deltas in order, exposing the current version. Each
+  * PARABACUS task owns one replayer for its contiguous range of edges, so a
+  * task pays O(k + M) to reconstruct and then walks versions incrementally.
   */
 final class SampleReplayer(snap: VersionedSampleSnapshot) {
-  private val adj: AdjacencySample = {
-    val a = new AdjacencySample
-    var i = 0
-    while (i < snap.baseLeft.length) {
-      a.add(Edge(snap.baseLeft(i), snap.baseRight(i)))
-      i += 1
-    }
-    a
-  }
+  private val adj: AdjacencySample = snap.base.copy()
 
   private var deltaIdx = 0
 
@@ -65,12 +66,13 @@ final class SampleReplayer(snap: VersionedSampleSnapshot) {
     */
   def advanceTo(v: Int): Unit = {
     while (deltaIdx < snap.deltaVersion.length && snap.deltaVersion(deltaIdx) <= v) {
-      val e = Edge(snap.deltaLeft(deltaIdx), snap.deltaRight(deltaIdx))
-      if (snap.deltaIsAdd(deltaIdx)) adj.add(e) else adj.remove(e)
+      val l = snap.deltaLeft(deltaIdx)
+      val r = snap.deltaRight(deltaIdx)
+      if (snap.deltaIsAdd(deltaIdx)) adj.addEdge(l, r) else adj.removeEdge(l, r)
       deltaIdx += 1
     }
   }
 
-  /** Adjacency view of the currently materialised version. */
-  def view: AdjView = adj
+  /** The currently materialised version. */
+  def view: AdjacencySample = adj
 }

@@ -61,15 +61,6 @@ class AdjacencySampleSpec extends AnyFunSuite {
     assert(s.rightDegree(11L) === 1)
   }
 
-  test("cumulative degrees match the paper's Σ d_x definition") {
-    // u=1 has right-neighbours {10, 11}; d(10)=2, d(11)=1 → 3.
-    val s = sampleWith((1L, 10L), (1L, 11L), (2L, 10L))
-    assert(s.cumulativeDegreeViaLeft(1L) === 3L)
-    // v=10 has left-neighbours {1, 2}; d(1)=2, d(2)=1 → 3.
-    assert(s.cumulativeDegreeViaRight(10L) === 3L)
-    assert(s.cumulativeDegreeViaLeft(99L) === 0L)
-  }
-
   test("swap-remove keeps the edge registry consistent") {
     val s = sampleWith((1L, 1L), (2L, 2L), (3L, 3L), (4L, 4L))
     s.remove(Edge(1L, 1L)) // head removal exercises the swap path
@@ -119,6 +110,88 @@ class AdjacencySampleSpec extends AnyFunSuite {
       ref.groupBy(_._1).foreach { case (l, es) =>
         assert(s.leftDegree(l) === es.size, s"trial $trial degree of $l")
       }
+    }
+  }
+
+  test("differential: random add/remove matches a swap-remove list plus sets") {
+    // Ids mix a small dense range (long probe runs, shared vertices) with
+    // arbitrary longs, extremes included; each trial grows the sample well
+    // past the initial table sizes, drains it to empty and grows it again.
+    val extremes = Array(Long.MinValue, Long.MaxValue, 0L, -1L)
+    (1 to 12).foreach { trial =>
+      val rng = new java.util.SplittableRandom(100L + trial)
+      def id(): Long =
+        if (rng.nextInt(10) < 7) rng.nextInt(24).toLong
+        else if (rng.nextInt(4) == 0) extremes(rng.nextInt(extremes.length))
+        else rng.nextLong()
+      val s = new AdjacencySample
+      val model = scala.collection.mutable.ArrayBuffer.empty[Edge]
+      val seen = scala.collection.mutable.Set.empty[Edge]
+      def modelRemove(e: Edge): Unit = {
+        val pos = model.indexOf(e)
+        val last = model.remove(model.length - 1)
+        if (pos < model.length) model(pos) = last
+      }
+      def check(step: Int): Unit = {
+        val clue = s"trial $trial step $step"
+        assert(s.size === model.length, clue)
+        assert(s.snapshotEdges().toSeq === model.toSeq, clue) // same dense order
+        val live = model.toSet
+        seen.foreach(e => assert(s.contains(e) === live(e), s"$clue contains $e"))
+        val byLeft = model.groupBy(_.left)
+        val byRight = model.groupBy(_.right)
+        seen.foreach { e =>
+          val nl = byLeft.getOrElse(e.left, Nil).map(_.right).toSet
+          val nr = byRight.getOrElse(e.right, Nil).map(_.left).toSet
+          assert(s.leftDegree(e.left) === nl.size, s"$clue degree of left ${e.left}")
+          assert(s.rightDegree(e.right) === nr.size, s"$clue degree of right ${e.right}")
+          assert(s.leftNeighbors(e.left).toSet === nl, s"$clue neighbours of left ${e.left}")
+          assert(s.rightNeighbors(e.right).toSet === nr, s"$clue neighbours of right ${e.right}")
+        }
+      }
+      val phases = Seq(400 -> 0.8, 600 -> 0.15, 300 -> 0.8)
+      var step = 0
+      phases.foreach { case (ops, addBias) =>
+        (1 to ops).foreach { _ =>
+          step += 1
+          if (model.isEmpty || rng.nextDouble() < addBias) {
+            val e = Edge(id(), id())
+            if (!s.contains(e)) { s.add(e); model += e; seen += e }
+          } else {
+            val e = model(rng.nextInt(model.length))
+            s.remove(e); modelRemove(e)
+          }
+          if (step % 25 == 0) check(step)
+        }
+        check(step)
+      }
+      // randomEdge draws the same sequence as indexing the model.
+      if (model.nonEmpty) {
+        val r1 = new java.util.SplittableRandom(trial.toLong)
+        val r2 = new java.util.SplittableRandom(trial.toLong)
+        (1 to 50).foreach(_ => assert(s.randomEdge(r1) === model(r2.nextInt(model.length))))
+      }
+      // Mutating a copy leaves the original untouched, and vice versa.
+      val before = s.snapshotEdges().toSeq
+      val c = s.copy()
+      val cModel = model.clone()
+      (1 to 200).foreach { _ =>
+        if (cModel.nonEmpty && rng.nextBoolean()) {
+          val e = cModel(rng.nextInt(cModel.length))
+          c.remove(e)
+          val pos = cModel.indexOf(e)
+          val last = cModel.remove(cModel.length - 1)
+          if (pos < cModel.length) cModel(pos) = last
+        } else {
+          val e = Edge(id(), id())
+          if (!c.contains(e)) { c.add(e); cModel += e; seen += e }
+        }
+      }
+      assert(c.snapshotEdges().toSeq === cModel.toSeq, s"trial $trial copy")
+      assert(s.snapshotEdges().toSeq === before, s"trial $trial original after copy mutation")
+      check(step)
+      s.add(Edge(Long.MinValue + trial, Long.MaxValue - trial))
+      assert(!c.contains(Edge(Long.MinValue + trial, Long.MaxValue - trial)), s"trial $trial copy after original mutation")
     }
   }
 }

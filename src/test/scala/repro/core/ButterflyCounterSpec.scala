@@ -115,4 +115,25 @@ class ButterflyCounterSpec extends AnyFunSuite {
       }
     }
   }
+
+  test("(butterflies, work) equals the set-based reference kernel on random graphs") {
+    (1 to 40).foreach { trial =>
+      val rng = new java.util.SplittableRandom(700L + trial)
+      val nL = 3 + rng.nextInt(14)
+      val nR = 3 + rng.nextInt(14)
+      val m = 1 + rng.nextInt(nL * nR)
+      val edges = TestGraphs.randomEdges(nL, nR, m, trial.toLong).map { case (l, r) => Edge(l, r) }
+      // Remove a random part again, so swap-removes have reordered the sample.
+      val s = viewOf(edges)
+      val removed = edges.filter(_ => rng.nextInt(4) == 0)
+      removed.foreach(s.remove)
+      val ref = ReferenceButterflyCounter.SetAdjacency.of(edges.toSet -- removed)
+      // Every pair over the vertex ranges plus unseen vertices: resident
+      // edges are the deletion case, absent ones the insertion case.
+      for (u <- 0L to nL + 1L; v <- 0L to nR + 1L) {
+        assert(ButterflyCounter.countForEdge(s, u, v) ===
+          ReferenceButterflyCounter.countForEdge(ref, u, v), s"trial $trial edge ($u,$v)")
+      }
+    }
+  }
 }

@@ -99,4 +99,19 @@ class ParAbacusSpec extends SparkSpec {
     par.processAll(stream, 40)
     assert(par.sampleSize === seq.sampleSize)
   }
+
+  test("estimates and work are bit-identical to the recorded golden values") {
+    // Recorded with the set-based sample this flat one replaced: the sample
+    // layout must not change which edges are drawn or what the kernel finds.
+    val stream = TestGraphs.randomStream(40, 40, 700, 0.25, 17L)
+    val seq = new Abacus(k = 200, seed = 11L)
+    seq.processAll(stream)
+    val par = new ParAbacus(k = 200, seed = 11L, spark, numPartitions = 3)
+    par.processAll(stream, 64)
+    assert(java.lang.Double.doubleToLongBits(seq.estimate) === 4667548836367114684L)
+    assert(java.lang.Double.doubleToLongBits(par.estimate) === 4667548836367114684L)
+    assert(seq.totalWork === 14323L)
+    assert(par.workPerPartition === IndexedSeq(4871L, 4575L, 4877L))
+    assert(par.workPerPartition.sum === 14323L)
+  }
 }

@@ -88,4 +88,47 @@ class VersionedSampleSpec extends AnyFunSuite {
     assert(snap.triplet(0) === VersionTriplet(10L, 1L, 2L))
     assert(snap.batchSize === 1)
   }
+
+  test("concurrent replayers over one snapshot each see the sequential versions") {
+    val stream = repro.TestGraphs.randomStream(20, 20, 300, 0.3, 77L)
+    val (warmup, batch) = stream.splitAt(stream.size / 2)
+    val sample = new AdjacencySample
+    val rp = new RandomPairing(40, sample, new java.util.SplittableRandom(5L))
+    warmup.foreach(rp.apply)
+    val baseEdges = sample.snapshotEdges().toSeq
+    assert(baseEdges.nonEmpty)
+    val expected = scala.collection.mutable.ArrayBuffer(baseEdges.toSet)
+    val deltas = scala.collection.mutable.ArrayBuffer.empty[(Int, Boolean, Edge)]
+    batch.zipWithIndex.foreach { case (el, i) =>
+      rp.apply(el).foreach {
+        case AddToSample(e)      => deltas += ((i + 1, true, e))
+        case RemoveFromSample(e) => deltas += ((i + 1, false, e))
+      }
+      expected += sample.snapshotEdges().toSet
+    }
+    val snap = snapOf(baseEdges, deltas.toSeq, batch.size)
+    // p threads start together, so they race on the first use of snap.base.
+    val p = 4
+    val start = new java.util.concurrent.CyclicBarrier(p)
+    val pool = java.util.concurrent.Executors.newFixedThreadPool(p)
+    try {
+      val futures = (0 until p).map { _ =>
+        pool.submit(new java.util.concurrent.Callable[Seq[Set[Edge]]] {
+          def call(): Seq[Set[Edge]] = {
+            start.await()
+            val r = new SampleReplayer(snap)
+            expected.indices.map { v =>
+              r.advanceTo(v)
+              r.view.snapshotEdges().toSet
+            }
+          }
+        })
+      }
+      futures.zipWithIndex.foreach { case (f, t) =>
+        val got = f.get(60, java.util.concurrent.TimeUnit.SECONDS)
+        expected.indices.foreach(v => assert(got(v) === expected(v), s"thread $t version $v"))
+      }
+    } finally pool.shutdownNow()
+    assert(snap.base.snapshotEdges().toSeq === baseEdges, "shared base was mutated")
+  }
 }
